@@ -23,17 +23,6 @@ const ScenarioResult& baseline_of(const CampaignOutcome& outcome) {
   return outcome.results.front();
 }
 
-double speedup_vs_baseline(const ScenarioResult& baseline, const ScenarioResult& r) {
-  if (!baseline.ok || !r.ok || r.simulated_time <= 0) return 0;
-  return baseline.simulated_time / r.simulated_time;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
 // Per-scenario fold-down of a replicated sweep's simulated times.
 struct ScenarioAgg {
   bool complete = false;       // every replication succeeded
@@ -139,162 +128,6 @@ const char* base_kind_name(CampaignSpec::BaseKind kind) {
   SMPI_UNREACHABLE("bad base kind");
 }
 
-// The result fields shared by single-run scenario rows and per-replication
-// entries. `baseline` is the matching baseline run (same replication), for
-// the paired speedup.
-void set_result_fields(util::JsonValue& row, const ScenarioResult& r,
-                       const ScenarioResult& baseline) {
-  row.set("ok", util::JsonValue::boolean(r.ok));
-  row.set("retries", util::JsonValue::number(r.retries));
-  if (!r.ok) {
-    row.set("error", util::JsonValue::string(r.error));
-    if (r.timed_out) row.set("timed_out", util::JsonValue::boolean(true));
-    if (!r.worker_exit.empty()) {
-      row.set("worker_exit", util::JsonValue::string(r.worker_exit));
-    }
-    return;
-  }
-  row.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  row.set("speedup_vs_baseline", util::JsonValue::number(speedup_vs_baseline(baseline, r)));
-  row.set("wall_s", util::JsonValue::number(r.wall_s));
-  row.set("records", util::JsonValue::number(static_cast<double>(r.records)));
-  row.set("ranks", util::JsonValue::number(r.ranks));
-  row.set("arena_bytes", util::JsonValue::number(static_cast<double>(r.arena_bytes)));
-  util::JsonValue breakdown = util::JsonValue::object();
-  breakdown.set("compute_total_s", util::JsonValue::number(r.compute_total_s()));
-  breakdown.set("comm_total_s", util::JsonValue::number(r.comm_total_s()));
-  breakdown.set("compute_max_s", util::JsonValue::number(r.compute_max_s()));
-  breakdown.set("comm_max_s", util::JsonValue::number(r.comm_max_s()));
-  util::JsonValue per_rank_compute = util::JsonValue::array();
-  util::JsonValue per_rank_comm = util::JsonValue::array();
-  for (double v : r.rank_compute_s) per_rank_compute.append(util::JsonValue::number(v));
-  for (double v : r.rank_comm_s) per_rank_comm.append(util::JsonValue::number(v));
-  breakdown.set("rank_compute_s", std::move(per_rank_compute));
-  breakdown.set("rank_comm_s", std::move(per_rank_comm));
-  row.set("breakdown", std::move(breakdown));
-  util::JsonValue solver = util::JsonValue::object();
-  solver.set("solves", util::JsonValue::number(static_cast<double>(r.solver_solves)));
-  solver.set("vars_touched",
-             util::JsonValue::number(static_cast<double>(r.solver_vars_touched)));
-  solver.set("cons_touched",
-             util::JsonValue::number(static_cast<double>(r.solver_cons_touched)));
-  row.set("solver", std::move(solver));
-  util::JsonValue p2p = util::JsonValue::object();
-  p2p.set("pool_hits", util::JsonValue::number(static_cast<double>(r.p2p.pool_hits)));
-  p2p.set("pool_misses", util::JsonValue::number(static_cast<double>(r.p2p.pool_misses)));
-  p2p.set("eager_snapshots",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_snapshots)));
-  p2p.set("eager_copy_elided",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_copy_elided)));
-  p2p.set("eager_flush_snapshots",
-          util::JsonValue::number(static_cast<double>(r.p2p.eager_flush_snapshots)));
-  p2p.set("bytes_not_copied",
-          util::JsonValue::number(static_cast<double>(r.p2p.bytes_not_copied)));
-  row.set("p2p", std::move(p2p));
-  if (r.analyzed) {
-    util::JsonValue analysis = util::JsonValue::object();
-    analysis.set("wait_fraction", util::JsonValue::number(r.wait_fraction));
-    analysis.set("critical_path_s", util::JsonValue::number(r.critical_path_s));
-    analysis.set("cp_compute_s", util::JsonValue::number(r.cp_compute_s));
-    analysis.set("cp_comm_s", util::JsonValue::number(r.cp_comm_s));
-    analysis.set("dominant_wait", util::JsonValue::string(r.dominant_wait));
-    util::JsonValue per_rank_wait = util::JsonValue::array();
-    util::JsonValue per_rank_transfer = util::JsonValue::array();
-    for (double v : r.rank_wait_s) per_rank_wait.append(util::JsonValue::number(v));
-    for (double v : r.rank_transfer_s) per_rank_transfer.append(util::JsonValue::number(v));
-    analysis.set("rank_wait_s", std::move(per_rank_wait));
-    analysis.set("rank_transfer_s", std::move(per_rank_transfer));
-    row.set("analysis", std::move(analysis));
-  }
-  if (r.resources_analyzed) {
-    util::JsonValue resources = util::JsonValue::object();
-    resources.set("top_bottleneck", util::JsonValue::string(r.top_bottleneck));
-    resources.set("bottleneck_saturated_s",
-                  util::JsonValue::number(r.bottleneck_saturated_s));
-    resources.set("max_link_utilization",
-                  util::JsonValue::number(r.max_link_utilization));
-    row.set("resources", std::move(resources));
-  }
-}
-
-// Inverse of set_result_fields, reading a resumed report's row or
-// replication entry back into a ScenarioResult.
-void read_result_fields(const util::JsonValue& row, ScenarioResult& r) {
-  r.ok = row.at("ok", "resume report row").as_bool();
-  // Lenient: reports written before the hardened harness carry none of
-  // these fields.
-  if (const auto* retries = row.find("retries")) r.retries = static_cast<int>(retries->as_int());
-  if (!r.ok) {
-    if (const auto* error = row.find("error")) r.error = error->as_string();
-    if (const auto* timed_out = row.find("timed_out")) r.timed_out = timed_out->as_bool();
-    if (const auto* worker_exit = row.find("worker_exit")) {
-      r.worker_exit = worker_exit->as_string();
-    }
-    return;
-  }
-  r.error.clear();
-  r.simulated_time = row.at("simulated_time", "resume report row").as_number();
-  r.wall_s = row.at("wall_s", "resume report row").as_number();
-  r.records = row.at("records", "resume report row").as_int();
-  r.ranks = static_cast<int>(row.at("ranks", "resume report row").as_int());
-  r.arena_bytes =
-      static_cast<std::uint64_t>(row.at("arena_bytes", "resume report row").as_int());
-  const auto& breakdown = row.at("breakdown", "resume report row");
-  for (const auto& v : breakdown.at("rank_compute_s", "resume breakdown").items()) {
-    r.rank_compute_s.push_back(v.as_number());
-  }
-  for (const auto& v : breakdown.at("rank_comm_s", "resume breakdown").items()) {
-    r.rank_comm_s.push_back(v.as_number());
-  }
-  const auto& solver = row.at("solver", "resume report row");
-  r.solver_solves =
-      static_cast<std::uint64_t>(solver.at("solves", "resume solver").as_int());
-  r.solver_vars_touched =
-      static_cast<std::uint64_t>(solver.at("vars_touched", "resume solver").as_int());
-  r.solver_cons_touched =
-      static_cast<std::uint64_t>(solver.at("cons_touched", "resume solver").as_int());
-  // Lenient: reports written before the p2p counters existed resume fine
-  // (the counters simply stay zero for adopted rows).
-  if (const auto* p2p = row.find("p2p")) {
-    auto u64 = [&](const char* key) {
-      const auto* v = p2p->find(key);
-      return v == nullptr ? std::uint64_t{0} : static_cast<std::uint64_t>(v->as_int());
-    };
-    r.p2p.pool_hits = u64("pool_hits");
-    r.p2p.pool_misses = u64("pool_misses");
-    r.p2p.eager_snapshots = u64("eager_snapshots");
-    r.p2p.eager_copy_elided = u64("eager_copy_elided");
-    r.p2p.eager_flush_snapshots = u64("eager_flush_snapshots");
-    r.p2p.bytes_not_copied = u64("bytes_not_copied");
-  }
-  // Lenient likewise for the analysis block (reports written before it
-  // existed, or with "analysis": false in the spec).
-  if (const auto* analysis = row.find("analysis")) {
-    r.analyzed = true;
-    r.wait_fraction = analysis->at("wait_fraction", "resume analysis").as_number();
-    r.critical_path_s = analysis->at("critical_path_s", "resume analysis").as_number();
-    r.cp_compute_s = analysis->at("cp_compute_s", "resume analysis").as_number();
-    r.cp_comm_s = analysis->at("cp_comm_s", "resume analysis").as_number();
-    r.dominant_wait = analysis->at("dominant_wait", "resume analysis").as_string();
-    for (const auto& v : analysis->at("rank_wait_s", "resume analysis").items()) {
-      r.rank_wait_s.push_back(v.as_number());
-    }
-    for (const auto& v : analysis->at("rank_transfer_s", "resume analysis").items()) {
-      r.rank_transfer_s.push_back(v.as_number());
-    }
-  }
-  // And for the resource-bottleneck block ("resources": false, or older
-  // reports).
-  if (const auto* resources = row.find("resources")) {
-    r.resources_analyzed = true;
-    r.top_bottleneck = resources->at("top_bottleneck", "resume resources").as_string();
-    r.bottleneck_saturated_s =
-        resources->at("bottleneck_saturated_s", "resume resources").as_number();
-    r.max_link_utilization =
-        resources->at("max_link_utilization", "resume resources").as_number();
-  }
-}
-
 std::vector<ScenarioAgg> aggregate_all(const CampaignSpec& spec,
                                        const std::vector<Scenario>& scenarios,
                                        const CampaignOutcome& outcome) {
@@ -355,7 +188,7 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
     row.set("label", util::JsonValue::string(scenario.label));
     row.set("params", params_json(scenario));
     if (reps == 1) {
-      set_result_fields(row, outcome.results[i], baseline);
+      write_result(row, outcome.results[i], &baseline);
       rows.append(std::move(row));
       continue;
     }
@@ -372,7 +205,7 @@ util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario
       const ScenarioResult& rep_baseline = outcome.results[static_cast<std::size_t>(rep)];
       util::JsonValue entry = util::JsonValue::object();
       entry.set("rep", util::JsonValue::number(rep));
-      set_result_fields(entry, r, rep_baseline);
+      write_result(entry, r, &rep_baseline);
       rep_rows.append(std::move(entry));
     }
     row.set("replications", std::move(rep_rows));
@@ -424,16 +257,12 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
 
   // One column per axis (in axis order) so the grid pivots cleanly.
   std::vector<std::string> axis_keys;
-  for (const Axis& axis : spec.axes) axis_keys.push_back(axis.key());
-
-  std::string csv = "id,rep,label,ok,retries,timed_out";
-  for (const std::string& key : axis_keys) csv += "," + key;
-  csv +=
-      ",simulated_time,speedup_vs_baseline,wall_s,records,ranks,compute_total_s,comm_total_s,"
-      "compute_max_s,comm_max_s,solver_solves,solver_vars_touched,solver_cons_touched,"
-      "pool_hits,pool_misses,eager_snapshots,eager_copy_elided,eager_flush_snapshots,"
-      "bytes_not_copied,wait_fraction,critical_path_s,cp_compute_s,cp_comm_s,dominant_wait,"
-      "top_bottleneck,bottleneck_saturated_s,max_link_utilization,worker_exit,error\n";
+  std::string axis_columns;
+  for (const Axis& axis : spec.axes) {
+    axis_keys.push_back(axis.key());
+    axis_columns += ',' + axis_keys.back();
+  }
+  std::string csv = "id,rep,label" + csv_columns(axis_columns) + '\n';
 
   // One row per unit: with replications the per-rep runs appear individually
   // (the fold-down statistics live in the JSON report).
@@ -442,59 +271,16 @@ std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& sc
     const Scenario& scenario = scenarios[unit / static_cast<std::size_t>(reps)];
     const ScenarioResult& baseline =
         outcome.results[unit % static_cast<std::size_t>(reps)];  // same-rep baseline
-    csv += std::to_string(scenario.id);
-    csv += ',' + std::to_string(r.rep);
-    csv += ",\"" + scenario.label + "\"";
-    csv += r.ok ? ",1" : ",0";
-    csv += ',' + std::to_string(r.retries);
-    csv += r.timed_out ? ",1" : ",0";
+    std::string axis_cells;
     for (const std::string& key : axis_keys) {
       const util::JsonValue* value = scenario.find(key);
-      csv += ',';
+      axis_cells += ',';
       if (value != nullptr) {
-        csv += value->is_string() ? value->as_string() : value->dump();
+        axis_cells += value->is_string() ? value->as_string() : value->dump();
       }
     }
-    if (r.ok) {
-      csv += ',' + format_double(r.simulated_time);
-      csv += ',' + format_double(speedup_vs_baseline(baseline, r));
-      csv += ',' + format_double(r.wall_s);
-      csv += ',' + std::to_string(r.records);
-      csv += ',' + std::to_string(r.ranks);
-      csv += ',' + format_double(r.compute_total_s());
-      csv += ',' + format_double(r.comm_total_s());
-      csv += ',' + format_double(r.compute_max_s());
-      csv += ',' + format_double(r.comm_max_s());
-      csv += ',' + std::to_string(r.solver_solves);
-      csv += ',' + std::to_string(r.solver_vars_touched);
-      csv += ',' + std::to_string(r.solver_cons_touched);
-      csv += ',' + std::to_string(r.p2p.pool_hits);
-      csv += ',' + std::to_string(r.p2p.pool_misses);
-      csv += ',' + std::to_string(r.p2p.eager_snapshots);
-      csv += ',' + std::to_string(r.p2p.eager_copy_elided);
-      csv += ',' + std::to_string(r.p2p.eager_flush_snapshots);
-      csv += ',' + std::to_string(r.p2p.bytes_not_copied);
-      if (r.analyzed) {
-        csv += ',' + format_double(r.wait_fraction);
-        csv += ',' + format_double(r.critical_path_s);
-        csv += ',' + format_double(r.cp_compute_s);
-        csv += ',' + format_double(r.cp_comm_s);
-        csv += ',' + r.dominant_wait;
-      } else {
-        csv += ",,,,,";  // analysis was off for this run
-      }
-      if (r.resources_analyzed) {
-        csv += ",\"" + r.top_bottleneck + "\"";
-        csv += ',' + format_double(r.bottleneck_saturated_s);
-        csv += ',' + format_double(r.max_link_utilization);
-      } else {
-        csv += ",,,";  // resources were off for this run
-      }
-      csv += ",,\n";  // empty worker_exit + error
-    } else {
-      // 26 empty metric columns, then the harness diagnostics.
-      csv += ",,,,,,,,,,,,,,,,,,,,,,,,,,\"" + r.worker_exit + "\",\"" + r.error + "\"\n";
-    }
+    csv += std::to_string(scenario.id) + ',' + std::to_string(r.rep) + ',' +
+           csv_quote(scenario.label) + csv_cells(r, baseline, axis_cells) + '\n';
   }
   return csv;
 }
@@ -710,6 +496,12 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
     results[i].rep = static_cast<int>(i) % reps;
     results[i].error = "not present in the resumed report";
   }
+  auto adopt = [&](const util::JsonValue& row, std::size_t unit) {
+    ScenarioResult r = read_result(row, "resume report row");
+    r.id = results[unit].id;
+    r.rep = results[unit].rep;
+    return r;
+  };
   for (const auto& row : report.at("scenarios", "resume report").items()) {
     const long long id = row.at("id", "resume report row").as_int();
     SMPI_REQUIRE(id >= 0 && id < static_cast<long long>(scenarios.size()),
@@ -724,15 +516,16 @@ std::vector<ScenarioResult> results_from_report(const util::JsonValue& report,
                      scenarios[index].label + "' in the spec but '" + label +
                      "' in the report — the axes changed, start a fresh sweep");
     if (reps == 1) {
-      read_result_fields(row, results[index]);
+      results[index] = adopt(row, index);
       continue;
     }
     for (const auto& entry : row.at("replications", "resume report row").items()) {
       const long long rep = entry.at("rep", "resume replication entry").as_int();
       SMPI_REQUIRE(rep >= 0 && rep < reps,
                    "campaign resume: replication index out of range");
-      read_result_fields(
-          entry, results[index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep)]);
+      const std::size_t unit =
+          index * static_cast<std::size_t>(reps) + static_cast<std::size_t>(rep);
+      results[unit] = adopt(entry, unit);
     }
   }
   return results;

@@ -1,4 +1,4 @@
-// Campaign aggregation: turn scenario result capsules into reports.
+// Campaign aggregation: turn scenario results into reports.
 //
 // Every speedup is relative to scenario 0 (the implicit unmodified-platform
 // baseline): speedup > 1 means the what-if finished the application faster
@@ -31,7 +31,7 @@ namespace smpi::campaign {
 util::JsonValue report_json(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                             const CampaignOutcome& outcome);
 
-// One header line + one row per run (RFC-4180-ish; labels quoted).
+// One header line + one row per run (RFC 4180; text cells quoted).
 std::string report_csv(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                        const CampaignOutcome& outcome);
 

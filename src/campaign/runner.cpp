@@ -22,134 +22,6 @@ namespace smpi::campaign {
 
 namespace {
 
-double sum(const std::vector<double>& v) {
-  double total = 0;
-  for (double x : v) total += x;
-  return total;
-}
-
-double max_of(const std::vector<double>& v) {
-  double best = 0;
-  for (double x : v) best = std::max(best, x);
-  return best;
-}
-
-// --- capsule (de)serialization ---------------------------------------------
-
-util::JsonValue doubles_json(const std::vector<double>& values) {
-  util::JsonValue array = util::JsonValue::array();
-  for (double v : values) array.append(util::JsonValue::number(v));
-  return array;
-}
-
-std::vector<double> doubles_from(const util::JsonValue& array) {
-  std::vector<double> out;
-  out.reserve(array.items().size());
-  for (const auto& v : array.items()) out.push_back(v.as_number());
-  return out;
-}
-
-std::string encode_capsule(const ScenarioResult& r) {
-  util::JsonValue capsule = util::JsonValue::object();
-  capsule.set("id", util::JsonValue::number(r.id));
-  capsule.set("rep", util::JsonValue::number(r.rep));
-  capsule.set("ok", util::JsonValue::boolean(r.ok));
-  if (!r.ok) {
-    capsule.set("error", util::JsonValue::string(r.error));
-    return capsule.dump();
-  }
-  capsule.set("simulated_time", util::JsonValue::number(r.simulated_time));
-  capsule.set("wall_s", util::JsonValue::number(r.wall_s));
-  capsule.set("records", util::JsonValue::number(static_cast<double>(r.records)));
-  capsule.set("ranks", util::JsonValue::number(r.ranks));
-  capsule.set("arena_bytes", util::JsonValue::number(static_cast<double>(r.arena_bytes)));
-  capsule.set("rank_compute_s", doubles_json(r.rank_compute_s));
-  capsule.set("rank_comm_s", doubles_json(r.rank_comm_s));
-  capsule.set("solver_solves", util::JsonValue::number(static_cast<double>(r.solver_solves)));
-  capsule.set("solver_vars_touched",
-              util::JsonValue::number(static_cast<double>(r.solver_vars_touched)));
-  capsule.set("solver_cons_touched",
-              util::JsonValue::number(static_cast<double>(r.solver_cons_touched)));
-  capsule.set("pool_hits", util::JsonValue::number(static_cast<double>(r.p2p.pool_hits)));
-  capsule.set("pool_misses", util::JsonValue::number(static_cast<double>(r.p2p.pool_misses)));
-  capsule.set("eager_snapshots",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_snapshots)));
-  capsule.set("eager_copy_elided",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_copy_elided)));
-  capsule.set("eager_flush_snapshots",
-              util::JsonValue::number(static_cast<double>(r.p2p.eager_flush_snapshots)));
-  capsule.set("bytes_not_copied",
-              util::JsonValue::number(static_cast<double>(r.p2p.bytes_not_copied)));
-  if (r.analyzed) {
-    capsule.set("wait_fraction", util::JsonValue::number(r.wait_fraction));
-    capsule.set("critical_path_s", util::JsonValue::number(r.critical_path_s));
-    capsule.set("cp_compute_s", util::JsonValue::number(r.cp_compute_s));
-    capsule.set("cp_comm_s", util::JsonValue::number(r.cp_comm_s));
-    capsule.set("dominant_wait", util::JsonValue::string(r.dominant_wait));
-    capsule.set("rank_wait_s", doubles_json(r.rank_wait_s));
-    capsule.set("rank_transfer_s", doubles_json(r.rank_transfer_s));
-  }
-  if (r.resources_analyzed) {
-    capsule.set("top_bottleneck", util::JsonValue::string(r.top_bottleneck));
-    capsule.set("bottleneck_saturated_s",
-                util::JsonValue::number(r.bottleneck_saturated_s));
-    capsule.set("max_link_utilization",
-                util::JsonValue::number(r.max_link_utilization));
-  }
-  return capsule.dump();
-}
-
-ScenarioResult decode_capsule(const std::string& text) {
-  const util::JsonValue capsule = util::parse_json(text, "campaign capsule");
-  ScenarioResult r;
-  r.id = static_cast<int>(capsule.at("id", "capsule").as_int());
-  r.rep = static_cast<int>(capsule.at("rep", "capsule").as_int());
-  r.ok = capsule.at("ok", "capsule").as_bool();
-  if (!r.ok) {
-    r.error = capsule.at("error", "capsule").as_string();
-    return r;
-  }
-  r.simulated_time = capsule.at("simulated_time", "capsule").as_number();
-  r.wall_s = capsule.at("wall_s", "capsule").as_number();
-  r.records = capsule.at("records", "capsule").as_int();
-  r.ranks = static_cast<int>(capsule.at("ranks", "capsule").as_int());
-  r.arena_bytes = static_cast<std::uint64_t>(capsule.at("arena_bytes", "capsule").as_int());
-  r.rank_compute_s = doubles_from(capsule.at("rank_compute_s", "capsule"));
-  r.rank_comm_s = doubles_from(capsule.at("rank_comm_s", "capsule"));
-  r.solver_solves = static_cast<std::uint64_t>(capsule.at("solver_solves", "capsule").as_int());
-  r.solver_vars_touched =
-      static_cast<std::uint64_t>(capsule.at("solver_vars_touched", "capsule").as_int());
-  r.solver_cons_touched =
-      static_cast<std::uint64_t>(capsule.at("solver_cons_touched", "capsule").as_int());
-  r.p2p.pool_hits = static_cast<std::uint64_t>(capsule.at("pool_hits", "capsule").as_int());
-  r.p2p.pool_misses = static_cast<std::uint64_t>(capsule.at("pool_misses", "capsule").as_int());
-  r.p2p.eager_snapshots =
-      static_cast<std::uint64_t>(capsule.at("eager_snapshots", "capsule").as_int());
-  r.p2p.eager_copy_elided =
-      static_cast<std::uint64_t>(capsule.at("eager_copy_elided", "capsule").as_int());
-  r.p2p.eager_flush_snapshots =
-      static_cast<std::uint64_t>(capsule.at("eager_flush_snapshots", "capsule").as_int());
-  r.p2p.bytes_not_copied =
-      static_cast<std::uint64_t>(capsule.at("bytes_not_copied", "capsule").as_int());
-  if (const auto* wait_fraction = capsule.find("wait_fraction")) {
-    r.analyzed = true;
-    r.wait_fraction = wait_fraction->as_number();
-    r.critical_path_s = capsule.at("critical_path_s", "capsule").as_number();
-    r.cp_compute_s = capsule.at("cp_compute_s", "capsule").as_number();
-    r.cp_comm_s = capsule.at("cp_comm_s", "capsule").as_number();
-    r.dominant_wait = capsule.at("dominant_wait", "capsule").as_string();
-    r.rank_wait_s = doubles_from(capsule.at("rank_wait_s", "capsule"));
-    r.rank_transfer_s = doubles_from(capsule.at("rank_transfer_s", "capsule"));
-  }
-  if (const auto* top = capsule.find("top_bottleneck")) {
-    r.resources_analyzed = true;
-    r.top_bottleneck = top->as_string();
-    r.bottleneck_saturated_s = capsule.at("bottleneck_saturated_s", "capsule").as_number();
-    r.max_link_utilization = capsule.at("max_link_utilization", "capsule").as_number();
-  }
-  return r;
-}
-
 // --- pipe helpers -----------------------------------------------------------
 
 bool read_exact(int fd, void* buffer, std::size_t bytes) {
@@ -185,8 +57,6 @@ bool write_exact(int fd, const void* buffer, std::size_t bytes) {
 ScenarioResult run_one_scenario(const CampaignSpec& spec, const Scenario& scenario, int rep,
                                 const trace::TiTrace& trace, long long arena_bytes) {
   ScenarioResult r;
-  r.id = scenario.id;
-  r.rep = rep;
   try {
     // Workload overrides change the trace itself: regenerate the variant
     // here (generation is deterministic, so the result is independent of
@@ -288,10 +158,12 @@ constexpr std::int32_t kTaskHang = 2;   // sleep forever (watchdog drill)
     const ScenarioResult result =
         run_one_scenario(spec, scenarios[static_cast<std::size_t>(task.id / replications)],
                          task.id % replications, trace, arena_bytes);
-    const std::string capsule = encode_capsule(result);
-    const auto length = static_cast<std::uint32_t>(capsule.size());
+    util::JsonValue row = util::JsonValue::object();
+    write_result(row, result, nullptr);
+    const std::string encoded = row.dump();
+    const auto length = static_cast<std::uint32_t>(encoded.size());
     if (!write_exact(result_fd, &length, sizeof length) ||
-        !write_exact(result_fd, capsule.data(), capsule.size())) {
+        !write_exact(result_fd, encoded.data(), encoded.size())) {
       ::_exit(1);  // parent went away
     }
   }
@@ -300,7 +172,7 @@ constexpr std::int32_t kTaskHang = 2;   // sleep forever (watchdog drill)
 struct Worker {
   pid_t pid = -1;
   int task_fd = -1;    // parent writes scenario ids here
-  int result_fd = -1;  // parent reads capsules here
+  int result_fd = -1;  // parent reads encoded results here
   int running_id = -1;  // scenario in flight, -1 when idle
   bool alive = false;
   std::chrono::steady_clock::time_point deadline{};  // watchdog, when armed
@@ -312,11 +184,6 @@ void close_fd(int& fd) {
 }
 
 }  // namespace
-
-double ScenarioResult::compute_total_s() const { return sum(rank_compute_s); }
-double ScenarioResult::comm_total_s() const { return sum(rank_comm_s); }
-double ScenarioResult::compute_max_s() const { return max_of(rank_compute_s); }
-double ScenarioResult::comm_max_s() const { return max_of(rank_comm_s); }
 
 CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenario>& scenarios,
                              const trace::TiTrace& trace, const RunOptions& options) {
@@ -513,11 +380,11 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       Worker& worker = *owners[i];
       std::uint32_t length = 0;
-      std::string capsule;
+      std::string encoded;
       bool got = read_exact(worker.result_fd, &length, sizeof length);
       if (got) {
-        capsule.resize(length);
-        got = read_exact(worker.result_fd, capsule.data(), length);
+        encoded.resize(length);
+        got = read_exact(worker.result_fd, encoded.data(), length);
       }
       const int id = worker.running_id;
       worker.running_id = -1;
@@ -552,9 +419,10 @@ CampaignOutcome run_campaign(const CampaignSpec& spec, const std::vector<Scenari
         dispatch(worker);
         continue;
       }
-      ScenarioResult result = decode_capsule(capsule);
-      SMPI_ENSURE(result.id == id / reps && result.rep == id % reps,
-                  "campaign capsule for the wrong unit");
+      ScenarioResult result =
+          read_result(util::parse_json(encoded, "campaign result"), "campaign result");
+      result.id = id / reps;
+      result.rep = id % reps;
       result.retries = attempts[static_cast<std::size_t>(id)] - 1;
       if (options.progress) {
         std::fprintf(stderr, "campaign: unit %d/%zu %s (%s)\n", id + 1, units,

@@ -1,7 +1,8 @@
-// Unified metrics registry: one ordered name -> value store that every
-// reporting surface (smpirun --verbose/--analyze, ti_inspect --summary,
-// campaign capsules) renders from, replacing the ad-hoc printf plumbing of
-// P2pCounters / RankUsage / solver counters. Collectors read the existing
+// Metrics registry: one ordered name -> value store that smpirun --verbose
+// renders its counter listings from (p2p, solver and surf counters), in place
+// of ad-hoc printf plumbing. Campaign rows do not go through it: they are
+// encoded from ScenarioResult's field table (campaign/row.hpp), and
+// ti_inspect prints its own summary. Collectors read the existing
 // counter structs — they never replace or reset them, so the underlying
 // values stay bit-identical to the pre-registry paths.
 #pragma once
@@ -9,6 +10,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "surf/maxmin.hpp"
 
 namespace smpi::util {
 class JsonValue;
@@ -54,10 +57,7 @@ void collect_solver(MetricsRegistry& registry, std::uint64_t solves, std::uint64
 void collect_analysis(MetricsRegistry& registry, const AnalysisResult& analysis);
 void collect_profile(MetricsRegistry& registry, const Profiler& profiler);
 // surf.* namespace: solver trigger classes plus observation-hook counters,
-// summed across the network and CPU solvers (MaxMinSystem::ObserveCounters).
-void collect_surf(MetricsRegistry& registry, std::uint64_t solves_attach,
-                  std::uint64_t solves_release, std::uint64_t solves_capacity,
-                  std::uint64_t solves_bound, std::uint64_t saturation_events,
-                  std::uint64_t snapshot_drains);
+// summed across the network and CPU solvers (SmpiWorld::surf_observe_counters).
+void collect_surf(MetricsRegistry& registry, const surf::MaxMinSystem::ObserveCounters& counters);
 
 }  // namespace smpi::obs

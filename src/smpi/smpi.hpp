@@ -179,6 +179,13 @@ class SmpiWorld {
   const SmpiConfig& config() const { return config_; }
   sim::NetworkBackend& network() { return *network_; }
   sim::ComputeBackend& cpu() { return *cpu_; }
+  // Resource observation (obs/resource.hpp): drains the solvers' last usage
+  // changes, which no settle follows once the final event has run. Call
+  // after run() and before finalizing the collector; no-op when unobserved.
+  void flush_observations();
+  // surf.* trigger and observation counters, summed over the network and
+  // CPU solvers (the packet backend has no solver).
+  surf::MaxMinSystem::ObserveCounters surf_observe_counters() const;
 
   // --- internal services (used by the MPI call implementations) -----------
   static SmpiWorld* instance();

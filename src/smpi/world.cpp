@@ -142,7 +142,6 @@ SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config)
     : platform_(platform), config_(std::move(config)) {
   SMPI_REQUIRE(g_world == nullptr, "only one SmpiWorld may exist at a time");
   SMPI_REQUIRE(platform_.host_count() > 0, "platform has no hosts");
-  g_world = this;
   engine_ = std::make_unique<sim::Engine>(config_.engine);
   // One knob drives both analytical solvers (network and CPU share the
   // max-min implementation and its full-reference flag).
@@ -202,6 +201,10 @@ SmpiWorld::SmpiWorld(const platform::Platform& platform, SmpiConfig config)
     faults->arm();
   }
   engine_->set_deadlock_reporter([this] { return wait_for_diagnostic(); });
+  // Registered last: nothing above needs the instance, and a constructor
+  // that throws (an unknown fault target, say) must not leave it pointing at
+  // a dead world for every later one in this process.
+  g_world = this;
 }
 
 SmpiWorld::~SmpiWorld() {
@@ -225,6 +228,17 @@ SmpiWorld::~SmpiWorld() {
 }
 
 SmpiWorld* SmpiWorld::instance() { return g_world; }
+
+void SmpiWorld::flush_observations() {
+  if (flow_network_ != nullptr) flow_network_->flush_observations(finish_time_);
+  cpu_model_->flush_observations(finish_time_);
+}
+
+surf::MaxMinSystem::ObserveCounters SmpiWorld::surf_observe_counters() const {
+  surf::MaxMinSystem::ObserveCounters total = cpu_model_->solver().observe_counters();
+  if (flow_network_ != nullptr) total += flow_network_->solver().observe_counters();
+  return total;
+}
 
 Process* SmpiWorld::current_process() {
   if (engine_ == nullptr) return nullptr;

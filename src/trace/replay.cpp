@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -331,24 +332,25 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   // surf models register their links/hosts and enable the solver's
   // changed-tracking in their constructors.
   if (options.resources != nullptr) obs::install_resources(options.resources);
-  core::SmpiWorld world(platform, config);
+  std::optional<core::SmpiWorld> world;
   std::unique_ptr<obs::SpanCollector> spans;
-  if (options.analyze) {
-    spans = std::make_unique<obs::SpanCollector>(trace.nranks);
-    obs::install_spans(spans.get());
-  }
-  if (options.paje != nullptr) {
-    install_capture(nullptr, options.paje);
-    options.paje->begin(trace.nranks);
-  }
   try {
-    world.run(trace.nranks,
-              [&trace, arena, usage](int, char**) { replay_rank(trace, *arena, *usage); }, {},
-              "ti-replay:" + trace.app);
+    world.emplace(platform, config);
+    if (options.analyze) {
+      spans = std::make_unique<obs::SpanCollector>(trace.nranks);
+      obs::install_spans(spans.get());
+    }
+    if (options.paje != nullptr) {
+      install_capture(nullptr, options.paje);
+      options.paje->begin(trace.nranks);
+    }
+    world->run(trace.nranks,
+               [&trace, arena, usage](int, char**) { replay_rank(trace, *arena, *usage); }, {},
+               "ti-replay:" + trace.app);
   } catch (...) {
     // Never leave the global instrumentation dangling onto the caller-owned
     // writer/collector (or this frame's span collector) once this frame
-    // unwinds.
+    // unwinds, whether the world's constructor or its run threw.
     if (options.paje != nullptr) clear_capture();
     if (spans != nullptr) obs::clear_spans();
     if (options.resources != nullptr) obs::clear_resources();
@@ -356,52 +358,36 @@ ReplayResult replay_trace(const platform::Platform& platform, core::SmpiConfig c
   }
   if (options.paje != nullptr) {
     clear_capture();
-    options.paje->finish(world.simulated_time());
+    options.paje->finish(world->simulated_time());
   }
   if (spans != nullptr) obs::clear_spans();
   if (options.resources != nullptr) {
-    // Final drain: the last completions' usage drops may still sit in the
-    // solvers' changed sets (no settle runs after the last event).
-    if (auto* net = dynamic_cast<surf::FlowNetworkModel*>(&world.network())) {
-      net->flush_observations(world.simulated_time());
-    }
-    if (auto* cpu = dynamic_cast<surf::CpuModel*>(&world.cpu())) {
-      cpu->flush_observations(world.simulated_time());
-    }
+    world->flush_observations();
     obs::clear_resources();
-    options.resources->finalize(world.simulated_time());
+    options.resources->finalize(world->simulated_time());
   }
 
   ReplayResult result;
-  result.simulated_time = world.simulated_time();
+  result.simulated_time = world->simulated_time();
   result.records = trace.total_records();
   result.ranks = trace.nranks;
-  result.aborted = world.aborted();
-  result.abort_code = world.abort_code();
-  result.failure = world.failure_diagnostic();
+  result.aborted = world->aborted();
+  result.abort_code = world->abort_code();
+  result.failure = world->failure_diagnostic();
   result.arena_bytes = static_cast<std::uint64_t>(arena_bytes);
   result.rank_usage = std::move(*usage);
-  auto add_observe = [&result](const surf::MaxMinSystem::ObserveCounters& oc) {
-    result.surf_observe.solves_attach += oc.solves_attach;
-    result.surf_observe.solves_release += oc.solves_release;
-    result.surf_observe.solves_capacity += oc.solves_capacity;
-    result.surf_observe.solves_bound += oc.solves_bound;
-    result.surf_observe.saturation_events += oc.saturation_events;
-    result.surf_observe.observe_drains += oc.observe_drains;
-  };
-  if (const auto* net = dynamic_cast<const surf::FlowNetworkModel*>(&world.network())) {
+  if (const auto* net = dynamic_cast<const surf::FlowNetworkModel*>(&world->network())) {
     result.solver_solves += net->solver().solve_count();
     result.solver_vars_touched += net->solver().vars_touched();
     result.solver_cons_touched += net->solver().cons_touched();
-    add_observe(net->solver().observe_counters());
   }
-  if (const auto* cpu = dynamic_cast<const surf::CpuModel*>(&world.cpu())) {
+  if (const auto* cpu = dynamic_cast<const surf::CpuModel*>(&world->cpu())) {
     result.solver_solves += cpu->solver().solve_count();
     result.solver_vars_touched += cpu->solver().vars_touched();
     result.solver_cons_touched += cpu->solver().cons_touched();
-    add_observe(cpu->solver().observe_counters());
   }
-  result.p2p = world.p2p_counters();
+  result.surf_observe = world->surf_observe_counters();
+  result.p2p = world->p2p_counters();
   if (options.resources != nullptr) {
     result.resources_analyzed = true;
     const obs::ResourceCollector::Summary summary = options.resources->summary();

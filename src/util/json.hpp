@@ -1,11 +1,11 @@
 // Minimal JSON support for the campaign subsystem: a dynamically-typed
 // value, a recursive-descent parser with line-accurate errors, and a writer.
 //
-// This intentionally covers only what a campaign spec and a result capsule
+// This intentionally covers only what a campaign spec and a result row
 // need — no comments, no NaN/Inf literals, UTF-8 passed through opaquely.
 // Object keys keep insertion order so reports are stable and diffable.
 // Numbers are stored as double plus the original text, which lets integral
-// values round-trip without a float detour and lets result capsules carry
+// values round-trip without a float detour and lets result rows carry
 // %.17g doubles bit-exactly.
 #pragma once
 

@@ -247,7 +247,7 @@ TEST(CampaignRun, DeterministicAcrossWorkerCountsAndMatchesOnline) {
     ASSERT_TRUE(serial.results[i].ok) << serial.results[i].error;
     ASSERT_TRUE(parallel.results[i].ok) << parallel.results[i].error;
     // Bit-equal, not approximately equal: scenario processes see identical
-    // inputs whatever the worker count, and capsules carry %.17g doubles.
+    // inputs whatever the worker count, and results travel as %.17g doubles.
     EXPECT_EQ(serial.results[i].simulated_time, parallel.results[i].simulated_time)
         << "scenario " << i;
     EXPECT_EQ(serial.results[i].rank_comm_s, parallel.results[i].rank_comm_s);

@@ -107,6 +107,42 @@ TEST(CampaignHardening, WatchdogIsolatesHungScenarioDeterministically) {
   }
 }
 
+TEST(CampaignHardening, FailedWorldConstructionLeavesTheWorkerUsable) {
+  // node-6 exists only on the 8-node platforms: every other scenario's world
+  // constructor throws while resolving the fault, and the worker that ran it
+  // must still build the next world, whatever the worker count.
+  const auto spec = cp::CampaignSpec::parse(parse_json(R"({
+    "platform": {"kind": "flat", "nodes": 4},
+    "workload": {"name": "w", "ranks": 4, "seed": 3, "pattern": "stencil2d",
+                 "iterations": 2, "bytes": 4096},
+    "faults": {"policy": "abort",
+               "events": [{"kind": "host_crash", "time": 100, "host": "node-6"}]},
+    "axes": [{"param": "topology_nodes", "values": [4, 8, 6, 8]}]
+  })",
+                                                       "test spec"));
+  const auto scenarios = cp::enumerate_scenarios(spec);
+  ASSERT_EQ(scenarios.size(), 5u);
+  const auto trace = smpi::workload::generate_workload(spec.workload);
+
+  auto run = [&](int workers) {
+    cp::RunOptions options;
+    options.workers = workers;
+    return cp::run_campaign(spec, scenarios, trace, options);
+  };
+  const auto one = run(1);
+  const auto three = run(3);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const bool eight_nodes = i == 2 || i == 4;
+    EXPECT_EQ(one.results[i].ok, eight_nodes) << "scenario " << i << ": " << one.results[i].error;
+    EXPECT_EQ(three.results[i].ok, one.results[i].ok) << "scenario " << i;
+    EXPECT_EQ(three.results[i].simulated_time, one.results[i].simulated_time) << "scenario " << i;
+    if (!eight_nodes) {
+      EXPECT_NE(one.results[i].error.find("node-6"), std::string::npos) << one.results[i].error;
+    }
+  }
+  EXPECT_EQ(one.results[2].simulated_time, one.results[4].simulated_time);
+}
+
 TEST(CampaignHardening, FaultAxesMaterializePerScenario) {
   const auto spec = cp::CampaignSpec::parse(parse_json(R"({
     "platform": {"kind": "flat"},

@@ -440,6 +440,27 @@ int find_resource(const obs::ResourceCollector& resources, const std::string& na
 
 }  // namespace
 
+// A world whose constructor throws (here: a fault on a host the platform
+// lacks) must not leave the caller's collector installed, nor the world
+// registered: the next replay in the process runs normally.
+TEST(ObsResources, FailedWorldConstructionUninstallsTheCollector) {
+  const tr::TiTrace trace = fanout_trace(2, 1024);
+  const auto platform = test_cluster(3);
+  auto config = fast_config();
+  config.faults = smpi::sim::FaultSpec::parse_text(
+      R"({"events": [{"kind": "host_crash", "time": 1, "host": "node-7"}]})");
+  {
+    obs::ResourceCollector resources;
+    tr::ReplayOptions options;
+    options.resources = &resources;
+    EXPECT_THROW(tr::replay_trace(platform, config, trace, options), std::exception);
+    EXPECT_FALSE(obs::resources_enabled());
+  }
+  const tr::ReplayResult result = tr::replay_trace(platform, fast_config(), trace, {});
+  EXPECT_GT(result.simulated_time, 0.0);
+  EXPECT_FALSE(result.resources_analyzed);
+}
+
 // Two equal eager flows launched at the same instant over rank 0's uplink:
 // max-min gives each exactly half the capacity, and the link is saturated
 // for precisely the duration of the shared transfer.

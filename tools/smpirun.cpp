@@ -55,8 +55,6 @@
 #include "trace/capture.hpp"
 #include "trace/paje.hpp"
 #include "trace/reader.hpp"
-#include "surf/cpu.hpp"
-#include "surf/network.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 #include "util/json.hpp"
@@ -352,6 +350,34 @@ void finish_profile(smpi::obs::Profiler& profiler, double wall_s, const Options&
   write_profile_json(profiler, options.profile_json_path);
 }
 
+// What both modes print or write once a run has finished: the simulated
+// time, the wait-state analysis and its classified Paje export (--analyze),
+// the resource report (--resources) and the Perfetto trace.
+void report_run(const Options& options, double simulated_time,
+                const smpi::obs::SpanCollector* spans, const smpi::obs::ResourceCollector* res,
+                const smpi::obs::Profiler& profiler, bool classified_paje) {
+  std::printf("simulated execution time: %.9f s\n", simulated_time);
+  if (spans != nullptr) {
+    const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
+    std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
+    if (classified_paje) {
+      smpi::obs::export_classified_paje(*spans, options.trace_paje, simulated_time);
+    }
+  }
+  if (options.resources && res != nullptr) {
+    std::printf("%s", res->report().c_str());
+  }
+  if (!options.trace_perfetto.empty()) {
+    if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res, spans,
+                                         options.profile ? &profiler : nullptr, simulated_time)) {
+      std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
+                   options.trace_perfetto.c_str());
+    } else if (options.verbose) {
+      std::printf("perfetto trace written to %s\n", options.trace_perfetto.c_str());
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -445,35 +471,11 @@ int main(int argc, char** argv) {
         smpi::obs::collect_p2p(registry, result.p2p);
         smpi::obs::collect_solver(registry, result.solver_solves, result.solver_vars_touched,
                                   result.solver_cons_touched);
-        smpi::obs::collect_surf(registry, result.surf_observe.solves_attach,
-                                result.surf_observe.solves_release,
-                                result.surf_observe.solves_capacity,
-                                result.surf_observe.solves_bound,
-                                result.surf_observe.saturation_events,
-                                result.surf_observe.observe_drains);
+        smpi::obs::collect_surf(registry, result.surf_observe);
         std::printf("counters:\n%s", registry.text().c_str());
       }
-      std::printf("simulated execution time: %.9f s\n", result.simulated_time);
-      if (spans != nullptr) {
-        const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
-        std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
-        if (classified_paje) {
-          smpi::obs::export_classified_paje(*spans, options.trace_paje, result.simulated_time);
-        }
-      }
-      if (options.resources && res != nullptr) {
-        std::printf("%s", res->report().c_str());
-      }
-      if (!options.trace_perfetto.empty()) {
-        if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), spans.get(),
-                                             options.profile ? &profiler : nullptr,
-                                             result.simulated_time)) {
-          std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
-                       options.trace_perfetto.c_str());
-        } else if (options.verbose) {
-          std::printf("perfetto trace written to %s\n", options.trace_perfetto.c_str());
-        }
-      }
+      report_run(options, result.simulated_time, spans.get(), res.get(), profiler,
+                 classified_paje);
       return 0;
     }
 
@@ -532,14 +534,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
     smpi::obs::clear_spans();
     if (res != nullptr) {
-      // Final drain (the last completions may not have settled), then close
-      // the observed window at the makespan.
-      if (auto* net = dynamic_cast<smpi::surf::FlowNetworkModel*>(&world.network())) {
-        net->flush_observations(world.simulated_time());
-      }
-      if (auto* cpu = dynamic_cast<smpi::surf::CpuModel*>(&world.cpu())) {
-        cpu->flush_observations(world.simulated_time());
-      }
+      // Final drain, then close the observed window at the makespan.
+      world.flush_observations();
       smpi::obs::clear_resources();
       res->finalize(world.simulated_time());
     }
@@ -566,27 +562,8 @@ int main(int argc, char** argv) {
     }
     std::printf("smpirun: %d processes on %d hosts (%s backend)\n", np, platform.host_count(),
                 options.backend.c_str());
-    std::printf("simulated execution time: %.9f s\n", world.simulated_time());
-    if (spans != nullptr) {
-      const smpi::obs::AnalysisResult analysis = smpi::obs::analyze(*spans);
-      std::printf("%s", smpi::obs::analysis_text(analysis).c_str());
-      if (classified_paje) {
-        smpi::obs::export_classified_paje(*spans, options.trace_paje, world.simulated_time());
-      }
-    }
-    if (options.resources && res != nullptr) {
-      std::printf("%s", res->report().c_str());
-    }
-    if (!options.trace_perfetto.empty()) {
-      if (!smpi::obs::write_perfetto_trace(options.trace_perfetto, res.get(), spans.get(),
-                                           options.profile ? &profiler : nullptr,
-                                           world.simulated_time())) {
-        std::fprintf(stderr, "smpirun: cannot write Perfetto trace to %s\n",
-                     options.trace_perfetto.c_str());
-      } else if (options.verbose) {
-        std::printf("perfetto trace written to %s\n", options.trace_perfetto.c_str());
-      }
-    }
+    report_run(options, world.simulated_time(), spans.get(), res.get(), profiler,
+               classified_paje);
     if (options.verbose) {
       const auto memory = world.memory_report();
       std::printf("tracked memory: folded peak %s, unfolded peak %s\n",
@@ -595,24 +572,7 @@ int main(int argc, char** argv) {
       smpi::obs::MetricsRegistry registry;
       smpi::obs::collect_p2p(registry, world.p2p_counters());
       std::printf("p2p counters:\n%s", registry.text("p2p.").c_str());
-      smpi::surf::MaxMinSystem::ObserveCounters surf_totals;
-      auto add_observe = [&surf_totals](const smpi::surf::MaxMinSystem::ObserveCounters& oc) {
-        surf_totals.solves_attach += oc.solves_attach;
-        surf_totals.solves_release += oc.solves_release;
-        surf_totals.solves_capacity += oc.solves_capacity;
-        surf_totals.solves_bound += oc.solves_bound;
-        surf_totals.saturation_events += oc.saturation_events;
-        surf_totals.observe_drains += oc.observe_drains;
-      };
-      if (const auto* net = dynamic_cast<const smpi::surf::FlowNetworkModel*>(&world.network())) {
-        add_observe(net->solver().observe_counters());
-      }
-      if (const auto* cpu = dynamic_cast<const smpi::surf::CpuModel*>(&world.cpu())) {
-        add_observe(cpu->solver().observe_counters());
-      }
-      smpi::obs::collect_surf(registry, surf_totals.solves_attach, surf_totals.solves_release,
-                              surf_totals.solves_capacity, surf_totals.solves_bound,
-                              surf_totals.saturation_events, surf_totals.observe_drains);
+      smpi::obs::collect_surf(registry, world.surf_observe_counters());
       std::printf("surf counters:\n%s", registry.text("surf.").c_str());
       if (options.app == "dt") {
         std::printf("dt checksum: %.6e\n", smpi::apps::dt_last_checksum());
